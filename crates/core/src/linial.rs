@@ -193,14 +193,20 @@ pub fn linial_edge_coloring(
         return distgraph::EdgeColoring::empty(0);
     }
     let line = graph.line_graph();
-    // Unique edge identifiers from the endpoint identifiers.
+    // Edge identifiers from the endpoint identifiers: (a − 1)·space + b,
+    // unique while space² ≤ 2⁶⁴. Past that the product wraps (explicitly,
+    // so debug and release builds agree) and uniqueness rests on
+    // `IdAssignment::from_vec`'s check.
     let space = ids.space();
     let edge_ids: Vec<u64> = graph
         .edges()
         .map(|e| {
             let (u, v) = graph.endpoints(e);
             let (a, b) = (ids.id(u).min(ids.id(v)), ids.id(u).max(ids.id(v)));
-            (a - 1) * space + (b - 1) + 1
+            (a - 1)
+                .wrapping_mul(space)
+                .wrapping_add(b - 1)
+                .wrapping_add(1)
         })
         .collect();
     let line_ids = IdAssignment::from_vec(edge_ids);
@@ -324,5 +330,18 @@ mod tests {
         let dbar = g.max_edge_degree();
         assert!(coloring.palette_size() <= 16 * dbar * dbar + 64);
         assert!(net.rounds() > 0);
+    }
+
+    /// Identifier spaces past 2³² make `(a − 1)·space` pass 2⁶⁴; the edge
+    /// ids must wrap (not panic in debug builds) and still color properly.
+    #[test]
+    fn linial_edge_coloring_wraps_edge_ids_of_huge_id_spaces() {
+        let g = generators::path(4);
+        let ids = IdAssignment::from_vec(vec![1 << 40, (1 << 40) + 7, 3, 1 << 41]);
+        assert!(u128::from(ids.space()).pow(2) > u128::from(u64::MAX));
+        let mut net = Network::new(&g, Model::Local);
+        let coloring = linial_edge_coloring(&g, &ids, &mut net);
+        check_proper_edge_coloring(&g, &coloring).assert_ok();
+        assert!(coloring.is_complete());
     }
 }

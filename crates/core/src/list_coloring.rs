@@ -29,7 +29,8 @@ use crate::greedy_finish::port_pair_edge_coloring;
 use crate::linial::{linial_coloring, linial_edge_coloring};
 use crate::params::ColoringParams;
 use distgraph::{
-    BipartiteGraph, Color, EdgeColoring, EdgeId, Graph, ListAssignment, Side, VertexColoring,
+    BipartiteGraph, Color, EdgeColoring, EdgeId, Graph, ListAssignment, NodeId, Side,
+    VertexColoring,
 };
 use distsim::{IdAssignment, LedgerEntry, Metrics, Model, Network, RoundLedger};
 
@@ -705,7 +706,11 @@ pub fn list_edge_coloring(
     let (rest, rest_map) = graph.edge_subgraph(|e| !coloring.is_colored(e));
     let finish_rounds_before = net.rounds();
     if rest.m() > 0 {
-        let rest_ids = IdAssignment::from_vec(rest.nodes().map(|v| ids.id(v)).collect());
+        // The remainder keeps every node of `graph`, and its ids take the
+        // tightest space holding the full assignment's — the host's, when
+        // `graph` is a compacted dirty subgraph with restricted ids.
+        let nodes: Vec<NodeId> = rest.nodes().collect();
+        let rest_ids = ids.restricted(&nodes).tightened();
         let schedule = linial_edge_coloring(&rest, &rest_ids, &mut net);
         // Schedule classes on the remainder, choosing from the available lists.
         for class in 0..schedule.palette_size() {

@@ -21,6 +21,22 @@
 //! same argument Lemma D.1 uses to seed the recursion: residual lists shrink
 //! at most as fast as residual degrees.
 //!
+//! A repair of a `k`-edge batch costs `O(k · Δ)` plus those rounds, never
+//! `O(n + m)`:
+//!
+//! * the coloring follows the batch through the diff's `O(k)` id moves
+//!   ([`BatchDiff::carry_in_place`]) — survivors keep their colors without
+//!   a pass over all edges;
+//! * the dirty set is handed over explicitly (the batch's inserted edges,
+//!   or the stabilizer's conflict set), not found by scanning;
+//! * `H` is compacted to the dirty edges' own endpoints, renumbered in host
+//!   order, with the host identifiers restricted to those nodes but the
+//!   host's identifier bounds kept ([`IdAssignment::restricted`]: Linial's
+//!   reduction starts from the host's space, and the greedy finish tightens
+//!   to the host's largest identifier), so the simulated run (colors,
+//!   rounds, messages) is bit-identical to one on a host-sized edge
+//!   subgraph whose other `n − |V(H)|` nodes sit isolated.
+//!
 //! The palette budget `P` is fixed when the coloring is created. When a
 //! mutation drives Δ past the budget (`2Δ − 1 > P`), the `(degree+1)`
 //! inequality above no longer holds and the subsystem falls back to one full
@@ -41,7 +57,9 @@
 use crate::error::ColoringError;
 use crate::list_coloring::{color_edges_local, list_edge_coloring};
 use crate::params::ColoringParams;
-use distgraph::{BatchDiff, Color, DynamicGraph, EdgeColoring, EdgeId, Graph, ListAssignment};
+use distgraph::{
+    BatchDiff, Color, DynamicGraph, EdgeColoring, EdgeId, Graph, ListAssignment, NodeId,
+};
 use distsim::{IdAssignment, Metrics};
 
 pub use crate::list_coloring::default_palette;
@@ -219,11 +237,6 @@ impl Recoloring {
         &mut self.coloring
     }
 
-    /// Replaces the maintained coloring (self-stabilization repair result).
-    pub(crate) fn replace_coloring(&mut self, coloring: EdgeColoring) {
-        self.coloring = coloring;
-    }
-
     /// The palette budget `P`: every assigned color is `< P`.
     pub fn palette(&self) -> usize {
         self.palette
@@ -274,7 +287,7 @@ impl Recoloring {
         params: &ColoringParams,
     ) -> Result<RepairReport, ColoringError> {
         let graph = dg.graph();
-        let carried = diff.carry_coloring(&self.coloring);
+        diff.carry_in_place(&mut self.coloring);
         let needed = default_palette(graph.max_degree());
 
         if needed > self.palette {
@@ -292,9 +305,14 @@ impl Recoloring {
             });
         }
 
-        let report = repair_within_palette(graph, carried, self.palette, ids, params)?;
-        self.coloring = report.0;
-        Ok(report.1)
+        repair_within_palette(
+            graph,
+            &mut self.coloring,
+            &diff.inserted_internal,
+            self.palette,
+            ids,
+            params,
+        )
     }
 
     /// Re-tightens the palette budget to `2Δ − 1` of the current graph by
@@ -317,9 +335,21 @@ impl Recoloring {
     }
 }
 
-/// Colors the uncolored edges of `carried` within the palette `{0, ..., P-1}`
-/// by running the paper's LOCAL list-coloring machinery on the dirty
-/// subgraph, and returns the completed coloring plus the repair report.
+/// Colors the `dirty` edges of `coloring` (uncolored, sorted ascending,
+/// distinct) within the palette `{0, ..., P-1}` by running the paper's
+/// LOCAL list-coloring machinery on the dirty subgraph, and returns the
+/// repair report. Costs `O(k · Δ)` plus the simulated repair rounds for
+/// `k = |dirty|`: nothing here walks all `n` nodes or `m` edges.
+///
+/// The dirty subgraph is *compacted*: its nodes are the dirty edges'
+/// endpoints renumbered in increasing host order, its edges the dirty edges
+/// in order, and its identifiers the endpoints' host identifiers with the
+/// host's identifier bounds ([`IdAssignment::restricted`]). The renumbering
+/// is monotone, so every adjacency list, edge order and identifier the
+/// algorithm sees is the one it would see on the host-sized edge subgraph
+/// (isolated nodes take no part in any round), and the result is
+/// bit-identical to coloring that subgraph — `tests/differential.rs` pins
+/// this against the host-sized reference.
 ///
 /// Invariant required of the caller: `P ≥ 2Δ(graph) − 1`, so that every
 /// uncolored edge has at least `deg_H(e) + 1` available colors.
@@ -328,34 +358,51 @@ impl Recoloring {
 /// dirty set is the post-fault conflict set instead of a mutation batch.
 pub(crate) fn repair_within_palette(
     graph: &Graph,
-    mut carried: EdgeColoring,
+    coloring: &mut EdgeColoring,
+    dirty: &[EdgeId],
     palette: usize,
     ids: &IdAssignment,
     params: &ColoringParams,
-) -> Result<(EdgeColoring, RepairReport), ColoringError> {
-    let dirty: Vec<EdgeId> = graph.edges().filter(|&e| !carried.is_colored(e)).collect();
+) -> Result<RepairReport, ColoringError> {
+    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty set unsorted");
+    debug_assert!(dirty.iter().all(|&e| !coloring.is_colored(e)));
     if dirty.is_empty() {
-        return Ok((
-            carried,
-            RepairReport {
-                repaired_edges: 0,
-                full_recolor: false,
-                touched: Vec::new(),
-                metrics: Metrics::new(),
-            },
-        ));
+        return Ok(RepairReport {
+            repaired_edges: 0,
+            full_recolor: false,
+            touched: Vec::new(),
+            metrics: Metrics::new(),
+        });
     }
 
-    let (sub, sub_map) = graph.edge_subgraph(|e| !carried.is_colored(e));
+    let mut nodes: Vec<NodeId> = dirty
+        .iter()
+        .flat_map(|&e| {
+            let (u, v) = graph.endpoints(e);
+            [u, v]
+        })
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let local = |v: NodeId| nodes.binary_search(&v).expect("endpoint of a dirty edge");
+    let raw: Vec<(usize, usize)> = dirty
+        .iter()
+        .map(|&e| {
+            let (u, v) = graph.endpoints(e);
+            (local(u), local(v))
+        })
+        .collect();
+    let sub = Graph::from_edges(nodes.len(), &raw).expect("subgraph of a valid graph is valid");
+    let sub_ids = ids.restricted(&nodes);
 
     // Residual lists: palette minus the colors of adjacent clean edges in the
     // host graph. |L_e| ≥ P − (deg_G(e) − deg_H(e)) ≥ deg_H(e) + 1.
     let lists = ListAssignment::new(
         palette,
-        sub.edges()
-            .map(|e| {
-                let host_edge = sub_map[e.index()];
-                let used = carried.colors_around(graph, host_edge);
+        dirty
+            .iter()
+            .map(|&e| {
+                let used = coloring.colors_around(graph, e);
                 (0..palette).filter(|c| !used.contains(c)).collect()
             })
             .collect(),
@@ -370,30 +417,26 @@ pub(crate) fn repair_within_palette(
     let space_ok = palette <= (sub_dbar * sub_dbar * sub_dbar * sub_dbar).max(4096);
 
     let metrics = if space_ok {
-        let outcome = list_edge_coloring(&sub, &lists, ids, params)?;
-        carried.merge_mapped(&outcome.coloring, &sub_map);
+        let outcome = list_edge_coloring(&sub, &lists, &sub_ids, params)?;
+        coloring.merge_mapped(&outcome.coloring, dirty);
         outcome.metrics
     } else {
-        for e in sub.edges() {
-            let host_edge = sub_map[e.index()];
-            let used = carried.colors_around(graph, host_edge);
+        for &e in dirty {
+            let used = coloring.colors_around(graph, e);
             let c: Color = (0..palette)
                 .find(|c| !used.contains(c))
                 .expect("P >= 2Δ−1 guarantees a free color");
-            carried.set(host_edge, c);
+            coloring.set(e, c);
         }
         Metrics::new()
     };
 
-    Ok((
-        carried,
-        RepairReport {
-            repaired_edges: dirty.len(),
-            full_recolor: false,
-            touched: dirty,
-            metrics,
-        },
-    ))
+    Ok(RepairReport {
+        repaired_edges: dirty.len(),
+        full_recolor: false,
+        touched: dirty.to_vec(),
+        metrics,
+    })
 }
 
 #[cfg(test)]
@@ -565,17 +608,18 @@ mod tests {
         let g = generators::grid_torus(5, 5);
         let ids = IdAssignment::contiguous(g.n());
         let params = ColoringParams::new(0.5);
-        let mut carried = EdgeColoring::empty(g.m());
+        let mut completed = EdgeColoring::empty(g.m());
         // Color everything except three edges with a proper baseline.
         let full = color_edges_local(&g, &ids, &params).unwrap().coloring;
         for e in g.edges() {
             if e.index() >= 3 {
-                carried.set(e, full.color(e).unwrap());
+                completed.set(e, full.color(e).unwrap());
             }
         }
         let palette = 5000; // > 4096 space cap, sub graph Δ̄ is tiny
-        let (completed, report) =
-            repair_within_palette(&g, carried, palette, &ids, &params).unwrap();
+        let dirty: Vec<EdgeId> = (0..3).map(EdgeId::new).collect();
+        let report =
+            repair_within_palette(&g, &mut completed, &dirty, palette, &ids, &params).unwrap();
         assert_eq!(report.repaired_edges, 3);
         assert!(!report.full_recolor);
         assert_eq!(

@@ -316,14 +316,25 @@ impl SelfStabilizing {
         dirty.sort_unstable();
         dirty.dedup();
 
-        let mut carried = self.rec.coloring().clone();
-        for &e in &dirty {
-            carried.unset(e);
-        }
-
+        // Strip the dirty colors in place (O(|dirty|), no coloring copy),
+        // keeping them so a failed repair leaves the session as it was.
         let palette = self.rec.palette();
-        let (healed, repair) = repair_within_palette(graph, carried, palette, ids, params)?;
-        self.rec.replace_coloring(healed);
+        let coloring = self.rec.coloring_mut();
+        let stripped: Vec<Option<Color>> = dirty.iter().map(|&e| coloring.color(e)).collect();
+        for &e in &dirty {
+            coloring.unset(e);
+        }
+        let repair = match repair_within_palette(graph, coloring, &dirty, palette, ids, params) {
+            Ok(repair) => repair,
+            Err(err) => {
+                for (&e, &c) in dirty.iter().zip(&stripped) {
+                    if let Some(c) = c {
+                        coloring.set(e, c);
+                    }
+                }
+                return Err(err);
+            }
+        };
         self.conflicts_total += detection.violations().len() as u64;
         self.repaired_total += repair.repaired_edges as u64;
         Ok(StabilizationReport {

@@ -134,6 +134,11 @@ impl EdgeColoring {
         self.colors.is_empty()
     }
 
+    /// Truncates to, or extends with uncolored edges to, exactly `m` edges.
+    pub fn resize(&mut self, m: usize) {
+        self.colors.resize(m, None);
+    }
+
     /// The color of edge `e`, if assigned.
     #[inline]
     pub fn color(&self, e: EdgeId) -> Option<Color> {

@@ -2,10 +2,10 @@
 //!
 //! The paper's algorithms color a *static* graph, but serving workloads see
 //! edges arriving and leaving continuously. [`DynamicGraph`] applies
-//! insert/delete batches ([`UpdateBatch`]) on top of the immutable [`Graph`]
-//! CSR representation and maintains a **stable edge identity**: every edge
-//! ever inserted gets a stable [`EdgeId`] that survives arbitrary later
-//! mutations, while the underlying CSR keeps its dense `0..m` internal ids.
+//! insert/delete batches ([`UpdateBatch`]) to a [`Graph`] CSR it owns and
+//! maintains a **stable edge identity**: every edge ever inserted gets a
+//! stable [`EdgeId`] that survives arbitrary later mutations, while the
+//! underlying CSR keeps its dense `0..m` internal ids.
 //! Each committed batch yields a [`BatchDiff`] describing exactly how the
 //! dense id space moved, which is what the incremental recoloring layer
 //! (`edgecolor::recolor`) and the incremental verifier
@@ -17,15 +17,24 @@
 //! before insertions, so a batch may delete an edge `{u, v}` and re-insert it
 //! (the re-inserted edge receives a *fresh* stable id).
 //!
-//! Rebuilding the CSR costs `O(n + m)` per batch; the point of the dynamic
-//! layer is not to make the *graph* update sublinear but to make the
-//! *recoloring* after the update proportional to the batch, not to `m`.
+//! A batch of `k` operations costs `O(k · Δ)`, not `O(n + m)`: the CSR is
+//! edited in place. Validation probes the live graph with
+//! [`Graph::edge_between`] plus a batch-local set, a deletion unlinks the
+//! edge from its two endpoints' adjacency slots and keeps internal ids dense
+//! by *swap-remove* (the edge with the last internal id takes the freed
+//! id), and an insertion is linked into its endpoints' slots at the sorted
+//! position and appended under the next internal id. Only an insert into a
+//! slot with no slack left pays an `O(n + m)` re-layout, which grants every
+//! node fresh slack. Δ is maintained by the graph's degree histogram, so
+//! [`Graph::max_degree`] stays `O(1)`. [`BatchDiff::moves`] reports the
+//! `O(k)` internal ids that moved, which is all a maintained per-edge
+//! array (the coloring of `edgecolor::recolor`) needs to follow the batch.
 
 use crate::coloring::EdgeColoring;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One atomic batch of edge mutations.
 ///
@@ -70,11 +79,14 @@ pub struct BatchDiff {
     /// Stable ids assigned to the inserted edges (batch order).
     pub inserted: Vec<EdgeId>,
     /// New **internal** ids of the inserted edges (batch order; parallel to
-    /// `inserted`). These are the "dirty" edges a local repair must color.
+    /// `inserted`). These are the "dirty" edges a local repair must color;
+    /// they are always the top ids `new_m − inserted.len() .. new_m`.
     pub inserted_internal: Vec<EdgeId>,
-    /// For every old internal id, the new internal id of the same edge, or
-    /// `None` if the edge was deleted by this batch.
-    pub survivor_map: Vec<Option<EdgeId>>,
+    /// The surviving edges whose internal id changed, as `(old, new)`
+    /// pairs sorted by `new`. Every other survivor keeps its id. Each `old`
+    /// is at least `old_m − deleted.len()` and each `new` below it, so the
+    /// pairs can be applied to a per-edge array in place, in any order.
+    pub moves: Vec<(EdgeId, EdgeId)>,
     /// Endpoints touched by the batch (sorted, deduplicated): the nodes whose
     /// incident edge set changed.
     pub touched_nodes: Vec<NodeId>,
@@ -82,25 +94,27 @@ pub struct BatchDiff {
 
 impl BatchDiff {
     /// Carries a coloring of the pre-batch graph over to the post-batch dense
-    /// id space: surviving edges keep their colors, inserted edges are
-    /// uncolored.
+    /// id space in place, in `O(|batch|)`: surviving edges keep their
+    /// colors, inserted edges are uncolored.
     ///
     /// # Panics
     ///
-    /// Panics if `old` does not have exactly [`BatchDiff::old_m`] entries.
-    pub fn carry_coloring(&self, old: &EdgeColoring) -> EdgeColoring {
+    /// Panics if `coloring` does not have exactly [`BatchDiff::old_m`]
+    /// entries.
+    pub fn carry_in_place(&self, coloring: &mut EdgeColoring) {
         assert_eq!(
-            old.len(),
+            coloring.len(),
             self.old_m,
             "coloring does not match the pre-batch edge count"
         );
-        let mut fresh = EdgeColoring::empty(self.new_m);
-        for (old_idx, target) in self.survivor_map.iter().enumerate() {
-            if let (Some(new_id), Some(c)) = (target, old.color(EdgeId::new(old_idx))) {
-                fresh.set(*new_id, c);
+        for &(old, new) in &self.moves {
+            match coloring.color(old) {
+                Some(c) => coloring.set(new, c),
+                None => coloring.unset(new),
             }
         }
-        fresh
+        coloring.resize(self.old_m - self.deleted.len());
+        coloring.resize(self.new_m);
     }
 }
 
@@ -125,7 +139,9 @@ impl BatchDiff {
 ///     .unwrap();
 /// assert_eq!(dg.graph().m(), 1);
 /// assert_eq!(dg.internal_id(stable), Some(distgraph::EdgeId::new(0)));
-/// assert_eq!(diff2.survivor_map, vec![None, Some(distgraph::EdgeId::new(0))]);
+/// // Swap-remove: the last edge took the freed internal id 0.
+/// let moved = (distgraph::EdgeId::new(1), distgraph::EdgeId::new(0));
+/// assert_eq!(diff2.moves, vec![moved]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
@@ -311,30 +327,20 @@ impl DynamicGraph {
         let n = self.n();
         let old_m = self.m();
 
-        // Validate deletions and mark doomed internal ids.
-        let mut doomed = vec![false; old_m];
-        let mut deleted = Vec::with_capacity(batch.delete.len());
+        // Validate the whole batch before touching anything, so a rejected
+        // batch leaves the graph as it was. Deletions first...
+        let mut doomed: HashSet<EdgeId> = HashSet::with_capacity(batch.delete.len());
         for &stable in &batch.delete {
             let internal = self
                 .internal_id(stable)
                 .ok_or(GraphError::UnknownEdge { id: stable.index() })?;
-            if doomed[internal.index()] {
+            if !doomed.insert(internal) {
                 return Err(GraphError::UnknownEdge { id: stable.index() });
             }
-            doomed[internal.index()] = true;
-            deleted.push(stable);
         }
-
-        // Validate insertions against the post-deletion edge set.
-        let mut present: std::collections::HashSet<(usize, usize)> = self
-            .graph
-            .edges()
-            .filter(|e| !doomed[e.index()])
-            .map(|e| {
-                let (u, v) = self.graph.endpoints(e);
-                (u.index(), v.index())
-            })
-            .collect();
+        // ...then insertions against the post-deletion edge set: a live
+        // edge blocks an insert unless this batch deletes it.
+        let mut fresh: HashSet<(usize, usize)> = HashSet::with_capacity(batch.insert.len());
         for &(u, v) in &batch.insert {
             if u >= n {
                 return Err(GraphError::NodeOutOfRange { node: u, n });
@@ -345,74 +351,62 @@ impl DynamicGraph {
             if u == v {
                 return Err(GraphError::SelfLoop { node: u });
             }
-            if !present.insert((u.min(v), u.max(v))) {
+            let live = self
+                .graph
+                .edge_between(NodeId::new(u), NodeId::new(v))
+                .is_some_and(|e| !doomed.contains(&e));
+            if live || !fresh.insert((u.min(v), u.max(v))) {
                 return Err(GraphError::DuplicateEdge { u, v });
             }
         }
 
-        // Build the new edge list: survivors in internal order, then inserts
-        // in batch order. This makes the remapping deterministic.
-        let mut raw: Vec<(usize, usize)> =
-            Vec::with_capacity(old_m - deleted.len() + batch.insert.len());
-        let mut new_stable_of: Vec<EdgeId> = Vec::with_capacity(raw.capacity());
-        let mut survivor_map: Vec<Option<EdgeId>> = vec![None; old_m];
-        for e in self.graph.edges() {
-            if doomed[e.index()] {
-                continue;
-            }
+        // Deletions, in batch order, by swap-remove. `origin` tracks the
+        // pre-batch id of every survivor that moved, keyed by its current id.
+        let mut touched: Vec<NodeId> = Vec::with_capacity(2 * batch.len());
+        let mut origin: HashMap<EdgeId, EdgeId> = HashMap::new();
+        for &stable in &batch.delete {
+            let e = self
+                .internal_of
+                .remove(&stable)
+                .expect("validated deletion is live");
             let (u, v) = self.graph.endpoints(e);
-            survivor_map[e.index()] = Some(EdgeId::new(raw.len()));
-            raw.push((u.index(), v.index()));
-            new_stable_of.push(self.stable_of[e.index()]);
+            touched.extend([u, v]);
+            origin.remove(&e);
+            self.stable_of.swap_remove(e.index());
+            if let Some(last) = self.graph.swap_remove_edge(e) {
+                let first = origin.remove(&last).unwrap_or(last);
+                origin.insert(e, first);
+                self.internal_of.insert(self.stable_of[e.index()], e);
+            }
         }
+        let mut moves: Vec<(EdgeId, EdgeId)> =
+            origin.into_iter().map(|(to, from)| (from, to)).collect();
+        moves.sort_unstable_by_key(|&(_, to)| to);
+
+        // Insertions, appended under the next internal ids.
         let mut inserted = Vec::with_capacity(batch.insert.len());
         let mut inserted_internal = Vec::with_capacity(batch.insert.len());
-        let mut next_stable = self.next_stable;
         for &(u, v) in &batch.insert {
-            let stable = EdgeId::new(next_stable);
-            next_stable += 1;
+            let (u, v) = (NodeId::new(u), NodeId::new(v));
+            let e = self.graph.push_edge(u, v);
+            let stable = EdgeId::new(self.next_stable);
+            self.next_stable += 1;
+            self.stable_of.push(stable);
+            self.internal_of.insert(stable, e);
             inserted.push(stable);
-            inserted_internal.push(EdgeId::new(raw.len()));
-            raw.push((u, v));
-            new_stable_of.push(stable);
-        }
-
-        let graph = Graph::from_edges(n, &raw).expect("validated batch builds a simple graph");
-
-        // Touched endpoints: every endpoint of a deleted or inserted edge.
-        let mut touched: Vec<NodeId> = Vec::with_capacity(2 * (deleted.len() + inserted.len()));
-        for e in self.graph.edges() {
-            if doomed[e.index()] {
-                let (u, v) = self.graph.endpoints(e);
-                touched.push(u);
-                touched.push(v);
-            }
-        }
-        for &(u, v) in &batch.insert {
-            touched.push(NodeId::new(u));
-            touched.push(NodeId::new(v));
+            inserted_internal.push(e);
+            touched.extend([u, v]);
         }
         touched.sort_unstable();
         touched.dedup();
 
-        // Commit.
-        self.graph = graph;
-        self.stable_of = new_stable_of;
-        self.internal_of = self
-            .stable_of
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, EdgeId::new(i)))
-            .collect();
-        self.next_stable = next_stable;
-
         Ok(BatchDiff {
             old_m,
             new_m: self.m(),
-            deleted,
+            deleted: batch.delete.clone(),
             inserted,
             inserted_internal,
-            survivor_map,
+            moves,
             touched_nodes: touched,
         })
     }
@@ -590,9 +584,12 @@ mod tests {
             .unwrap();
         assert_eq!(diff.old_m, 3);
         assert_eq!(diff.new_m, 3);
+        // Swap-remove: the last edge (3,4) took the deleted edge's id 1;
+        // edge 0 kept its id.
+        assert_eq!(diff.moves, vec![(EdgeId::new(2), EdgeId::new(1))]);
         assert_eq!(
-            diff.survivor_map,
-            vec![Some(EdgeId::new(0)), None, Some(EdgeId::new(1))]
+            dg.graph().endpoints(EdgeId::new(1)),
+            (NodeId::new(3), NodeId::new(4))
         );
         assert_eq!(diff.inserted_internal, vec![EdgeId::new(2)]);
         let touched: Vec<usize> = diff.touched_nodes.iter().map(|v| v.index()).collect();
@@ -610,11 +607,63 @@ mod tests {
         let diff = dg
             .apply(&batch(vec![EdgeId::new(1)], vec![(0, 2)]))
             .unwrap();
-        let carried = diff.carry_coloring(&coloring);
-        assert_eq!(carried.len(), 3);
-        assert_eq!(carried.color(EdgeId::new(0)), Some(5)); // old e0
-        assert_eq!(carried.color(EdgeId::new(1)), Some(7)); // old e2 shifted down
-        assert_eq!(carried.color(EdgeId::new(2)), None); // the inserted edge
+        diff.carry_in_place(&mut coloring);
+        assert_eq!(coloring.len(), 3);
+        assert_eq!(coloring.color(EdgeId::new(0)), Some(5)); // old e0
+        assert_eq!(coloring.color(EdgeId::new(1)), Some(7)); // old e2 moved down
+        assert_eq!(coloring.color(EdgeId::new(2)), None); // the inserted edge
+    }
+
+    #[test]
+    fn chained_moves_report_the_pre_batch_id() {
+        // Deleting e3 moves e4 into id 3; deleting e1 then moves that same
+        // edge (now last) into id 1; deleting e2 (now last) moves nothing.
+        // Only the net move of the survivor, 4 → 1, is reported.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
+        let mut dg = DynamicGraph::from_graph(g.clone());
+        let mut coloring = EdgeColoring::from_vec((0..5).map(Some).collect());
+        let diff = dg
+            .apply(&batch(
+                vec![EdgeId::new(3), EdgeId::new(1), EdgeId::new(2)],
+                vec![(0, 5)],
+            ))
+            .unwrap();
+        assert_eq!(diff.moves, vec![(EdgeId::new(4), EdgeId::new(1))]);
+        diff.carry_in_place(&mut coloring);
+        assert_eq!(coloring.len(), 3);
+        assert_eq!(coloring.color(EdgeId::new(0)), Some(0));
+        assert_eq!(coloring.color(EdgeId::new(1)), Some(4));
+        assert_eq!(coloring.color(EdgeId::new(2)), None);
+        assert_eq!(dg.internal_id(EdgeId::new(4)), Some(EdgeId::new(1)));
+        dg.validate().unwrap();
+    }
+
+    #[test]
+    fn full_slots_relayout_and_stay_logically_equal() {
+        // Every slot of a static graph is tight; inserts into full slots
+        // re-lay the adjacency out and the graph still equals a rebuild.
+        let g = crate::generators::grid_torus(4, 4);
+        assert_eq!(g.csr_offsets(), g.degree_offsets().as_slice());
+        let mut dg = DynamicGraph::from_graph(g);
+        let hub: Vec<(usize, usize)> = [2, 5, 6, 7, 8, 9, 10, 11, 13, 14]
+            .into_iter()
+            .map(|v| (0, v))
+            .collect();
+        dg.apply(&batch(vec![], hub)).unwrap();
+        assert_ne!(
+            dg.graph().csr_offsets(),
+            dg.graph().degree_offsets().as_slice()
+        );
+        let live: Vec<(usize, usize)> = dg
+            .graph()
+            .edge_list()
+            .into_iter()
+            .map(|(_, u, v)| (u.index(), v.index()))
+            .collect();
+        let rebuilt = Graph::from_edges(dg.n(), &live).unwrap();
+        assert_eq!(dg.graph(), &rebuilt);
+        assert_eq!(dg.graph().max_degree(), 14);
+        dg.validate().unwrap();
     }
 
     #[test]
@@ -623,6 +672,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         let mut dg = DynamicGraph::from_graph(g);
         let diff = dg.apply(&UpdateBatch::empty()).unwrap();
-        diff.carry_coloring(&EdgeColoring::empty(5));
+        diff.carry_in_place(&mut EdgeColoring::empty(5));
     }
 }

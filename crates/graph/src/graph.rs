@@ -6,6 +6,16 @@
 //! stored separately so that edge-centric algorithms (everything in the
 //! reproduced paper operates on the line graph) can go from an edge to its
 //! endpoints in O(1).
+//!
+//! Each node owns a *slot* of the adjacency array: its live neighbors come
+//! first, sorted by neighbor id, and any unused tail of the slot is slack.
+//! Every static constructor and the snapshot decoder build the tight layout
+//! (no slack, slots = degree prefix sums). Only the in-place edits of
+//! [`DynamicGraph`](crate::DynamicGraph) open slack: deleting an edge
+//! leaves a gap in both endpoints' slots, and an insert into a full slot
+//! re-lays the adjacency out with per-node slack. Equality, iteration order
+//! and everything observable through the accessors depend only on the
+//! logical graph, never on the layout.
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId};
@@ -37,15 +47,48 @@ pub struct Neighbor {
 /// let e = g.edge_between(1.into(), 2.into()).unwrap();
 /// assert_eq!(g.edge_degree(e), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph {
-    /// CSR offsets, length `n + 1`.
+    /// Slot boundaries, length `n + 1`: node `v`'s slot is
+    /// `adj[offsets[v]..offsets[v + 1]]`.
     offsets: Vec<usize>,
-    /// Concatenated adjacency lists, length `2 m`, sorted by neighbor id
-    /// within each node's slice.
+    /// Live entries per node; node `v`'s neighbors are the first
+    /// `degrees[v]` entries of its slot.
+    degrees: Vec<u32>,
+    /// Concatenated adjacency slots, sorted by neighbor id within each
+    /// node's live prefix. Length `2 m` in the tight layout.
     adj: Vec<Neighbor>,
     /// Endpoints of every edge; the pair is stored with the smaller node first.
     endpoints: Vec<(NodeId, NodeId)>,
+    /// `degree_count[d]` = number of nodes of degree `d`; its last entry is
+    /// nonzero, so Δ = `degree_count.len() - 1` (an empty vector for `n = 0`).
+    degree_count: Vec<usize>,
+}
+
+/// Logical equality: same node count, same edge ids with the same
+/// endpoints, same sorted adjacency per node — independent of slack.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n() == other.n()
+            && self.endpoints == other.endpoints
+            && self
+                .nodes()
+                .all(|v| self.neighbors(v) == other.neighbors(v))
+    }
+}
+
+impl Eq for Graph {}
+
+/// Per-degree node counts of a degree sequence (see `Graph::degree_count`).
+fn degree_histogram(degrees: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut count = Vec::new();
+    for d in degrees {
+        if d >= count.len() {
+            count.resize(d + 1, 0);
+        }
+        count[d] += 1;
+    }
+    count
 }
 
 impl Graph {
@@ -123,11 +166,21 @@ impl Graph {
         for v in 0..n {
             adj[offsets[v]..offsets[v + 1]].sort_by_key(|nb| nb.node);
         }
-        Ok(Graph {
+        Ok(Self::tight(offsets, adj, endpoints))
+    }
+
+    /// Assembles the tight layout from validated CSR parts, deriving the
+    /// per-node degrees and the degree histogram from the offsets.
+    fn tight(offsets: Vec<usize>, adj: Vec<Neighbor>, endpoints: Vec<(NodeId, NodeId)>) -> Self {
+        let degrees: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let degree_count = degree_histogram(degrees.iter().map(|&d| d as usize));
+        Graph {
             offsets,
+            degrees,
             adj,
             endpoints,
-        })
+            degree_count,
+        }
     }
 
     /// Builds a graph from edges given as `NodeId` pairs.
@@ -248,11 +301,7 @@ impl Graph {
         }
         // Counts line up: adjacency length is 2m and no edge exceeded two
         // appearances, so every edge appeared exactly twice.
-        Ok(Graph {
-            offsets,
-            adj,
-            endpoints,
-        })
+        Ok(Self::tight(offsets, adj, endpoints))
     }
 
     /// Builds a graph from CSR parts the caller has *already validated* to
@@ -275,11 +324,7 @@ impl Graph {
         if let Err(e) = Self::from_csr_parts(offsets.clone(), adj.clone(), endpoints.clone()) {
             panic!("from_csr_parts_trusted called with invalid CSR parts: {e}");
         }
-        Graph {
-            offsets,
-            adj,
-            endpoints,
-        }
+        Self::tight(offsets, adj, endpoints)
     }
 
     /// Number of nodes.
@@ -304,25 +349,41 @@ impl Graph {
         (0..self.m()).map(EdgeId::new)
     }
 
-    /// The CSR adjacency offsets (length `n + 1`): node `v`'s neighbor
-    /// slice is indexed by `offsets[v]..offsets[v + 1]`, so `offsets` is
-    /// also the prefix sum of the degree sequence. Exposed for
-    /// degree-weighted work partitioning.
+    /// The CSR slot offsets (length `n + 1`): node `v`'s adjacency slot is
+    /// `offsets[v]..offsets[v + 1]`. In the tight layout every static
+    /// constructor builds, this is exactly the prefix sum of the degree
+    /// sequence; after in-place edits it is the prefix sum of the slot
+    /// capacities (degree plus slack). Exposed for degree-weighted work
+    /// partitioning, which only needs a monotone per-node weight.
     #[inline]
     pub fn csr_offsets(&self) -> &[usize] {
         &self.offsets
     }
 
+    /// The prefix sum of the degree sequence (length `n + 1`) — the offsets
+    /// of the tight layout, whatever this graph's slack. Costs `O(n)`.
+    pub fn degree_offsets(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.n() + 1);
+        out.push(0);
+        let mut acc = 0usize;
+        for &d in &self.degrees {
+            acc += d as usize;
+            out.push(acc);
+        }
+        out
+    }
+
     /// Degree of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v.index() + 1] - self.offsets[v.index()]
+        self.degrees[v.index()] as usize
     }
 
     /// The adjacency list of node `v` (sorted by neighbor id).
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[Neighbor] {
-        &self.adj[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+        let start = self.offsets[v.index()];
+        &self.adj[start..start + self.degrees[v.index()] as usize]
     }
 
     /// Iterator over the edges incident to `v`.
@@ -368,12 +429,11 @@ impl Graph {
         self.degree(u) + self.degree(v) - 2
     }
 
-    /// Maximum node degree Δ (0 for an empty graph).
+    /// Maximum node degree Δ (0 for an empty graph). `O(1)`: the degree
+    /// histogram is maintained across in-place edits.
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        (0..self.n())
-            .map(|v| self.degree(NodeId::new(v)))
-            .max()
-            .unwrap_or(0)
+        self.degree_count.len().saturating_sub(1)
     }
 
     /// Maximum edge degree Δ̄ over all edges (0 for an edgeless graph).
@@ -508,7 +568,118 @@ impl Graph {
 
     /// Sum of all node degrees; equals `2 m` (handshake lemma).
     pub fn degree_sum(&self) -> usize {
-        (0..self.n()).map(|v| self.degree(NodeId::new(v))).sum()
+        self.degrees.iter().map(|&d| d as usize).sum()
+    }
+
+    // -- in-place edits (the `DynamicGraph` batch path) ----------------------
+
+    /// Moves node `v`'s degree from `from` to `to` in the histogram.
+    fn recount(&mut self, from: usize, to: usize) {
+        self.degree_count[from] -= 1;
+        if to >= self.degree_count.len() {
+            self.degree_count.resize(to + 1, 0);
+        }
+        self.degree_count[to] += 1;
+        while self.degree_count.last() == Some(&0) {
+            self.degree_count.pop();
+        }
+    }
+
+    /// Position of neighbor `w` within `v`'s live slot prefix.
+    fn slot_position(&self, v: NodeId, w: NodeId) -> Result<usize, usize> {
+        self.neighbors(v).binary_search_by_key(&w, |nb| nb.node)
+    }
+
+    /// Removes the entry for neighbor `w` from `v`'s slot, shifting the
+    /// later entries down: `O(deg v)`.
+    fn unlink(&mut self, v: NodeId, w: NodeId) {
+        let at = self
+            .slot_position(v, w)
+            .expect("unlinked neighbor is present");
+        let start = self.offsets[v.index()];
+        let deg = self.degrees[v.index()] as usize;
+        self.adj
+            .copy_within(start + at + 1..start + deg, start + at);
+        self.degrees[v.index()] -= 1;
+        self.recount(deg, deg - 1);
+    }
+
+    /// Inserts `nb` into `v`'s slot at its sorted position: `O(deg v)`,
+    /// plus an `O(n + m)` re-layout when the slot has no slack left.
+    fn link(&mut self, v: NodeId, nb: Neighbor) {
+        let deg = self.degrees[v.index()] as usize;
+        if self.offsets[v.index()] + deg == self.offsets[v.index() + 1] {
+            self.relayout(v);
+        }
+        let at = self
+            .slot_position(v, nb.node)
+            .expect_err("linked neighbor is absent");
+        let start = self.offsets[v.index()];
+        self.adj
+            .copy_within(start + at..start + deg, start + at + 1);
+        self.adj[start + at] = nb;
+        self.degrees[v.index()] += 1;
+        self.recount(deg, deg + 1);
+    }
+
+    /// Rebuilds the adjacency array with per-node slack
+    /// `max(2, deg / 2)`, doubling the slack of `full` (the node whose slot
+    /// overflowed). The slack a re-layout grants absorbs that many inserts
+    /// per node before the next one.
+    fn relayout(&mut self, full: NodeId) {
+        let n = self.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for v in 0..n {
+            let deg = self.degrees[v] as usize;
+            let mut slack = (deg / 2).max(2);
+            if v == full.index() {
+                slack *= 2;
+            }
+            offsets.push(offsets[v] + deg + slack);
+        }
+        let filler = Neighbor {
+            node: NodeId::new(0),
+            edge: EdgeId::new(0),
+        };
+        let mut adj = vec![filler; offsets[n]];
+        for v in 0..n {
+            let live = self.neighbors(NodeId::new(v));
+            adj[offsets[v]..offsets[v] + live.len()].copy_from_slice(live);
+        }
+        self.offsets = offsets;
+        self.adj = adj;
+    }
+
+    /// Deletes edge `e` in place and keeps edge ids dense by moving the
+    /// last edge into `e`'s id (swap-remove). Returns the old id of the
+    /// edge that moved, if any: `O(deg u + deg v + log Δ)`.
+    pub(crate) fn swap_remove_edge(&mut self, e: EdgeId) -> Option<EdgeId> {
+        let (u, v) = self.endpoints[e.index()];
+        self.unlink(u, v);
+        self.unlink(v, u);
+        let last = EdgeId::new(self.m() - 1);
+        self.endpoints.swap_remove(e.index());
+        if e == last {
+            return None;
+        }
+        let (a, b) = self.endpoints[e.index()];
+        for (x, y) in [(a, b), (b, a)] {
+            let at = self.slot_position(x, y).expect("moved edge is linked");
+            self.adj[self.offsets[x.index()] + at].edge = e;
+        }
+        Some(last)
+    }
+
+    /// Appends the edge `{u, v}` under the next dense id and links it into
+    /// both endpoints' slots. The caller guarantees `u ≠ v`, both in range
+    /// and no existing edge between them.
+    pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId) -> EdgeId {
+        let e = EdgeId::new(self.m());
+        self.endpoints.push((u.min(v), u.max(v)));
+        self.link(u, Neighbor { node: v, edge: e });
+        self.link(v, Neighbor { node: u, edge: e });
+        e
     }
 
     /// Builds the line graph: one node per edge of `self`, with two line-graph

@@ -4,7 +4,11 @@
 //! naive model (a hash set of endpoint pairs plus an append-only stable-id
 //! ledger); after every batch the CSR invariants and the stable↔internal
 //! `EdgeId` bijection must hold, and the graph must agree with the model
-//! edge for edge. Mirrors the style of `crates/graph/tests/properties.rs`.
+//! edge for edge. The in-place `apply` is model-checked on top: the edited
+//! (possibly slack-carrying) graph must equal a tight `Graph::from_edges`
+//! rebuild of its live edges, its tracked Δ must equal a recount, and the
+//! diff's id moves must map every survivor to its new internal id. Mirrors
+//! the style of `crates/graph/tests/properties.rs`.
 
 use distgraph::{generators, DynamicGraph, EdgeId, Graph, NodeId, UpdateBatch};
 use proptest::prelude::*;
@@ -166,6 +170,18 @@ fn assert_consistent(dg: &DynamicGraph, model: &Model) {
         );
         assert_eq!(g.endpoints(internal), (NodeId::new(u), NodeId::new(v)));
     }
+
+    // The in-place layout is logically the tight rebuild of its live edges
+    // (same ids, same sorted adjacency), and the tracked Δ is exact.
+    let live: Vec<(usize, usize)> = g
+        .edge_list()
+        .into_iter()
+        .map(|(_, u, v)| (u.index(), v.index()))
+        .collect();
+    let rebuilt = Graph::from_edges(g.n(), &live).expect("live edges form a simple graph");
+    assert_eq!(g, &rebuilt, "in-place graph differs from its rebuild");
+    let recount = g.nodes().map(|v| g.degree(v)).max().unwrap_or(0);
+    assert_eq!(g.max_degree(), recount, "tracked Δ drifted");
 }
 
 proptest! {
@@ -199,25 +215,32 @@ proptest! {
 
         for raw in &batches {
             let batch = model.build_and_apply(raw);
+            let before: Vec<EdgeId> = dg.stable_table().to_vec();
             let diff = dg.apply(&batch).expect("materialized batches are valid");
             prop_assert_eq!(diff.deleted.len(), batch.delete.len());
             prop_assert_eq!(diff.inserted.len(), batch.insert.len());
             prop_assert_eq!(diff.new_m, model.live.len());
-            // Survivor map: injective over survivors, None exactly for doomed.
-            let mut targets = HashSet::new();
-            for (old, target) in diff.survivor_map.iter().enumerate() {
-                if let Some(t) = target {
-                    prop_assert!(targets.insert(*t), "survivor map not injective");
-                    prop_assert!(t.index() < diff.new_m);
-                } else {
-                    // None entries must correspond to a deleted stable id.
-                    prop_assert!(old < diff.old_m);
-                }
+            // Moves: sorted by target, old ids from the vacated tail, new
+            // ids below it, and together they map every survivor.
+            let kept = diff.old_m - diff.deleted.len();
+            for pair in diff.moves.windows(2) {
+                prop_assert!(pair[0].1 < pair[1].1, "moves not sorted by target");
             }
-            prop_assert_eq!(
-                diff.survivor_map.iter().filter(|t| t.is_none()).count(),
-                batch.delete.len()
-            );
+            let moved: HashMap<EdgeId, EdgeId> = diff.moves.iter().copied().collect();
+            for &(old, new) in &diff.moves {
+                prop_assert!(old.index() >= kept && new.index() < kept);
+            }
+            for (old, stable) in before.iter().enumerate() {
+                let old = EdgeId::new(old);
+                let expected = if batch.delete.contains(stable) {
+                    None
+                } else {
+                    Some(moved.get(&old).copied().unwrap_or(old))
+                };
+                prop_assert_eq!(dg.internal_id(*stable), expected, "survivor {} misplaced", stable);
+            }
+            let fresh: Vec<EdgeId> = (kept..diff.new_m).map(EdgeId::new).collect();
+            prop_assert_eq!(&diff.inserted_internal, &fresh);
             assert_consistent(&dg, &model);
         }
     }

@@ -22,6 +22,13 @@
 //! answers the **upper bound** of the bucket holding the requested rank
 //! (clamped to the observed maximum), so a reported p99 never understates
 //! the true p99 by more than one bucket width.
+//!
+//! The daemon records into an [`AtomicHistogram`] — same geometry, one
+//! atomic per field — so concurrent lookups never serialize on a lock just
+//! to time themselves; a metrics request copies it into a
+//! [`LatencyHistogram`] for the wire.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets in a [`LatencyHistogram`]. Fixed by the wire
 /// protocol.
@@ -180,9 +187,81 @@ impl LatencyHistogram {
     }
 }
 
+/// A [`LatencyHistogram`] that many threads record into without a lock:
+/// every field is an atomic counter (`fetch_add`, and `fetch_max` for the
+/// maximum).
+///
+/// Each sample's updates land individually, so a [`snapshot`] taken while
+/// samples are in flight may see some of a sample's fields and not others;
+/// once recording quiesces the snapshot is exact.
+///
+/// [`snapshot`]: AtomicHistogram::snapshot
+#[derive(Debug, Default)]
+pub struct AtomicHistogram {
+    count: AtomicU64,
+    sum_us: AtomicU64,
+    max_us: AtomicU64,
+    buckets: [AtomicU64; HIST_BUCKETS],
+}
+
+impl AtomicHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample of `us` microseconds.
+    pub fn record_us(&self, us: u64) {
+        self.buckets[LatencyHistogram::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one sample from a wall-clock duration.
+    pub fn record(&self, elapsed: std::time::Duration) {
+        self.record_us(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
+    }
+
+    /// Copies the counters into a plain [`LatencyHistogram`].
+    pub fn snapshot(&self) -> LatencyHistogram {
+        LatencyHistogram::from_parts(
+            self.count.load(Ordering::Relaxed),
+            self.sum_us.load(Ordering::Relaxed),
+            self.max_us.load(Ordering::Relaxed),
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concurrent_atomic_records_total_exactly() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 5_000;
+        let atomic = AtomicHistogram::new();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let atomic = &atomic;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        atomic.record_us(t * PER_THREAD + i);
+                    }
+                });
+            }
+        });
+        // The same samples recorded sequentially into the plain histogram.
+        let mut expected = LatencyHistogram::new();
+        for us in 0..THREADS * PER_THREAD {
+            expected.record_us(us);
+        }
+        assert_eq!(atomic.snapshot(), expected);
+        assert_eq!(expected.count(), THREADS * PER_THREAD);
+        assert_eq!(expected.max_us(), THREADS * PER_THREAD - 1);
+    }
 
     #[test]
     fn bucket_geometry_is_log2_over_microseconds() {

@@ -45,7 +45,7 @@
 //! two tenants at once.
 
 use crate::error::SetupError;
-use crate::hist::LatencyHistogram;
+use crate::hist::AtomicHistogram;
 use crate::wire::{GraphInfo, LookupOutcome, MetricsReport, RejectCode, Request, Response};
 use distgraph::{DynamicGraph, EdgeColoring, EdgeId, Graph, NodeId, UpdateBatch};
 use distshard::bfs_partition;
@@ -200,8 +200,8 @@ pub struct Tenant {
     config: ServeConfig,
     params: ColoringParams,
     counters: Counters,
-    repair_hist: Mutex<LatencyHistogram>,
-    lookup_hist: Mutex<LatencyHistogram>,
+    repair_hist: AtomicHistogram,
+    lookup_hist: AtomicHistogram,
     batch_log: Mutex<Vec<(u64, UpdateBatch)>>,
 }
 
@@ -257,8 +257,8 @@ impl Tenant {
             config,
             params,
             counters: Counters::default(),
-            repair_hist: Mutex::new(LatencyHistogram::new()),
-            lookup_hist: Mutex::new(LatencyHistogram::new()),
+            repair_hist: AtomicHistogram::new(),
+            lookup_hist: AtomicHistogram::new(),
             batch_log: Mutex::new(Vec::new()),
         })
     }
@@ -378,7 +378,7 @@ impl Tenant {
                 }
             }
         };
-        lock(&self.lookup_hist).record(started.elapsed());
+        self.lookup_hist.record(started.elapsed());
         Response::Color {
             epoch: st.epoch,
             version: st.version,
@@ -565,7 +565,7 @@ impl Tenant {
                             .fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                lock(&self.repair_hist).record(elapsed);
+                self.repair_hist.record(elapsed);
                 lock(&self.batch_log).push((cur.epoch, batch));
                 let next = Arc::new(EpochState {
                     epoch: cur.epoch,
@@ -664,8 +664,8 @@ impl Tenant {
             swaps: c.swaps.load(Ordering::Relaxed),
             swaps_rejected: c.swaps_rejected.load(Ordering::Relaxed),
             protocol_errors,
-            repair: *lock(&self.repair_hist),
-            lookup: *lock(&self.lookup_hist),
+            repair: self.repair_hist.snapshot(),
+            lookup: self.lookup_hist.snapshot(),
         }
     }
 

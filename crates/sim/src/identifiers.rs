@@ -14,6 +14,11 @@ use serde::{Deserialize, Serialize};
 pub struct IdAssignment {
     ids: Vec<u64>,
     space: u64,
+    /// The largest identifier of the full assignment (1 when empty) — kept
+    /// unchanged by [`IdAssignment::restricted`], so a restriction can still
+    /// answer what [`IdAssignment::from_vec`] over the host's ids would
+    /// choose as its space ([`IdAssignment::tightened`]).
+    max_id: u64,
 }
 
 impl IdAssignment {
@@ -22,6 +27,7 @@ impl IdAssignment {
         IdAssignment {
             ids: (1..=n as u64).collect(),
             space: (n as u64).max(1),
+            max_id: (n as u64).max(1),
         }
     }
 
@@ -29,8 +35,10 @@ impl IdAssignment {
     /// `{1, ..., n³}`, exercising the "identifiers are arbitrary poly(n)
     /// values" aspect of the model.
     pub fn scattered(n: usize, seed: u64) -> Self {
-        // Use a multiplicative permutation of {0, ..., n³-1}: i -> (a·i + b) mod p
-        // for a prime p ≥ n³, retaining uniqueness, then add 1.
+        // Candidates come from the affine sequence i -> (a·i + b) mod p for a
+        // prime p ≥ n³, computed in wrapping u64 arithmetic: once a·i passes
+        // 2⁶⁴ the sequence is no longer a permutation of Z_p, so uniqueness
+        // comes from the `produced` set, which skips repeated candidates.
         let space = ((n as u64).pow(3)).max(1);
         let p = next_prime(space.max(2));
         let a = (seed.wrapping_mul(6364136223846793005).wrapping_add(1)) % (p - 1) + 1;
@@ -39,15 +47,17 @@ impl IdAssignment {
         let mut produced = std::collections::HashSet::with_capacity(n);
         let mut i = 0u64;
         while ids.len() < n {
-            let candidate = (a.wrapping_mul(i) + b) % p;
+            let candidate = a.wrapping_mul(i).wrapping_add(b) % p;
             i += 1;
             if candidate < space && produced.insert(candidate) {
                 ids.push(candidate + 1);
             }
         }
+        let max_id = ids.iter().copied().max().unwrap_or(1);
         IdAssignment {
             ids,
             space: space.max(n as u64),
+            max_id,
         }
     }
 
@@ -63,7 +73,34 @@ impl IdAssignment {
         assert_eq!(sorted.len(), ids.len(), "identifiers must be unique");
         assert!(ids.iter().all(|&id| id > 0), "identifiers must be positive");
         let space = ids.iter().copied().max().unwrap_or(1);
-        IdAssignment { ids, space }
+        IdAssignment {
+            ids,
+            space,
+            max_id: space,
+        }
+    }
+
+    /// The identifiers of `nodes` (in that order) as an assignment for the
+    /// subgraph on exactly those nodes, keeping this assignment's space —
+    /// so algorithms that size their color space from `space()` (Linial's
+    /// reduction starts from it) behave exactly as on the host graph.
+    pub fn restricted(&self, nodes: &[NodeId]) -> Self {
+        IdAssignment {
+            ids: nodes.iter().map(|&v| self.id(v)).collect(),
+            space: self.space,
+            max_id: self.max_id,
+        }
+    }
+
+    /// The same identifiers in the tightest space that holds the full
+    /// assignment's: the largest identifier before any restriction. For an
+    /// unrestricted assignment this is the space
+    /// `IdAssignment::from_vec` would choose for the same ids; after
+    /// [`IdAssignment::restricted`] it is still the host's, so a subgraph
+    /// that tightens its ids sees the space the host-sized one would.
+    pub fn tightened(mut self) -> Self {
+        self.space = self.max_id;
+        self
     }
 
     /// The identifier of node `v`.
@@ -151,6 +188,36 @@ mod tests {
         assert_ne!(a, b);
         let a2 = IdAssignment::scattered(50, 1);
         assert_eq!(a, a2);
+    }
+
+    /// At n = 125,000 the affine candidate sequence passes 2⁶⁴ under
+    /// these seeds; debug builds must wrap, not panic, and ids stay unique.
+    #[test]
+    fn scattered_ids_wrap_without_overflow_at_large_n() {
+        let n = 125_000;
+        for seed in [1, 3, 104] {
+            let ids = IdAssignment::scattered(n, seed);
+            let mut seen = std::collections::HashSet::with_capacity(n);
+            for v in 0..n {
+                let id = ids.id(NodeId::new(v));
+                assert!((1..=ids.space()).contains(&id));
+                assert!(seen.insert(id), "duplicate identifier {id} (seed {seed})");
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_keeps_the_space_and_the_host_bound() {
+        let ids = IdAssignment::scattered(20, 4);
+        let sub = ids.restricted(&[NodeId::new(3), NodeId::new(17)]);
+        assert_eq!(sub.len(), 2);
+        assert_eq!(sub.id(NodeId::new(1)), ids.id(NodeId::new(17)));
+        assert_eq!(sub.space(), ids.space());
+        // Tightening a restriction lands on the host's from_vec space.
+        let all: Vec<NodeId> = (0..20).map(NodeId::new).collect();
+        let host_tight = IdAssignment::from_vec((0..20).map(|v| ids.id(NodeId::new(v))).collect());
+        assert_eq!(sub.tightened().space(), host_tight.space());
+        assert_eq!(ids.restricted(&all).tightened(), host_tight);
     }
 
     #[test]

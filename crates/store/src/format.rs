@@ -212,7 +212,9 @@ impl<'a> SnapshotSource<'a> {
         let g = self.graph;
         let n = g.n();
         let m = g.m();
-        let offsets = g.csr_offsets();
+        // The tight layout's offsets, whatever slack the graph carries: the
+        // bytes depend only on the logical graph.
+        let offsets = g.degree_offsets();
         // Node and edge ids fit u32 by construction, but the *offsets* go up
         // to 2m, which a near-u32::MAX edge count pushes past u32.
         if offsets[n] > u32::MAX as usize {

@@ -17,11 +17,18 @@
 //! 3. On the seeded generator matrix, full colorings produced under
 //!    `Sharded{2,4,8}` (the partitioned execution substrate of
 //!    `crates/shard`) must be bit-identical to the sequential reference.
+//! 4. The compacted dirty-subgraph repair (`Recoloring::repair` and
+//!    `SelfStabilizing::stabilize`) must be bit-identical — coloring,
+//!    touched set, metrics — to a host-sized reference that colors the dirty
+//!    edges on an edge subgraph keeping all `n` nodes, with the full ids.
 
 use distgraph::generators::{self, Family, UpdateScenario, UpdateStream};
-use distgraph::{DynamicGraph, Graph};
-use distsim::{ExecutionPolicy, IdAssignment, Model};
-use edgecolor::{color_edges_local, default_palette, ColoringParams, Recoloring};
+use distgraph::{DynamicGraph, EdgeColoring, EdgeId, Graph, ListAssignment};
+use distsim::{ExecutionPolicy, IdAssignment, Metrics, Model};
+use edgecolor::{
+    color_edges_local, default_palette, list_edge_coloring, ColoringParams, Recoloring,
+    SelfStabilizing,
+};
 use edgecolor_baselines as baselines;
 use edgecolor_verify::{
     check_complete, check_delta, check_palette_size, check_proper_edge_coloring,
@@ -220,4 +227,176 @@ proptest! {
             prop_assert_eq!(session_repaired, repaired);
         }
     }
+}
+
+/// The host-sized reference repair: colors `dirty` (uncolored in
+/// `coloring`) on the edge subgraph that keeps all `n` host nodes, with the
+/// host ids and residual lists against the clean neighbors' colors.
+fn host_sized_repair(
+    graph: &Graph,
+    coloring: &EdgeColoring,
+    dirty: &[EdgeId],
+    palette: usize,
+    ids: &IdAssignment,
+    params: &ColoringParams,
+) -> (EdgeColoring, Metrics, u32) {
+    let keep: std::collections::HashSet<EdgeId> = dirty.iter().copied().collect();
+    let (sub, map) = graph.edge_subgraph(|e| keep.contains(&e));
+    assert_eq!(sub.n(), graph.n());
+    assert_eq!(map, dirty, "reference keeps the dirty edges in host order");
+    let lists = ListAssignment::new(
+        palette,
+        map.iter()
+            .map(|&e| {
+                let used = coloring.colors_around(graph, e);
+                (0..palette).filter(|c| !used.contains(c)).collect()
+            })
+            .collect(),
+    );
+    let outcome = list_edge_coloring(&sub, &lists, ids, params).expect("reference repair");
+    let mut out = coloring.clone();
+    out.merge_mapped(&outcome.coloring, &map);
+    (out, outcome.metrics, outcome.outer_iterations)
+}
+
+/// The pre-batch coloring carried to the post-batch ids through the stable
+/// ids — the `O(m)` way, independent of the diff's id moves.
+fn carried_by_stable_id(before: &[(EdgeId, Option<usize>)], dg: &DynamicGraph) -> EdgeColoring {
+    let mut out = EdgeColoring::empty(dg.m());
+    for &(stable, color) in before {
+        if let (Some(e), Some(c)) = (dg.internal_id(stable), color) {
+            out.set(e, c);
+        }
+    }
+    out
+}
+
+/// Corrupts `count` edges, stabilizes, and checks the healed coloring and
+/// metrics against the host-sized reference repair of the same conflict
+/// set. Returns the reference's outer degree-reduction iterations, or
+/// `None` when the corruption happened to be clean.
+fn stabilize_matches_reference(
+    session: &mut SelfStabilizing,
+    dg: &DynamicGraph,
+    seed: u64,
+    count: usize,
+    ids: &IdAssignment,
+    at: &str,
+) -> Option<u32> {
+    let params = ColoringParams::new(0.5);
+    let suspects = session.inject_corruption(dg.graph(), seed, count);
+    let corrupted = session.coloring().clone();
+    let healed = session.stabilize(dg, &suspects, ids, &params).unwrap();
+    check_proper_edge_coloring(dg.graph(), session.coloring()).assert_ok();
+    check_complete(dg.graph(), session.coloring()).assert_ok();
+    if healed.was_clean() {
+        return None;
+    }
+    let mut stripped = corrupted;
+    for &e in &healed.touched {
+        stripped.unset(e);
+    }
+    let (expected, metrics, outer) = host_sized_repair(
+        dg.graph(),
+        &stripped,
+        &healed.touched,
+        session.palette(),
+        ids,
+        &params,
+    );
+    assert_eq!(session.coloring(), &expected, "{at}: coloring");
+    assert_eq!(healed.metrics, metrics, "{at}: metrics");
+    Some(outer)
+}
+
+/// Compacted repair ≡ host-sized reference, batch by batch, over the three
+/// update scenarios on several generators, with fault-injected
+/// stabilization conflict sets in between.
+#[test]
+fn compacted_repair_matches_the_host_sized_reference() {
+    let params = ColoringParams::new(0.5);
+    let graphs = [
+        ("torus", generators::grid_torus(7, 8)),
+        ("regular", Family::RegularBipartite.generate(80, 5, 3)),
+        ("erdos-renyi", Family::ErdosRenyi.generate(80, 6, 17)),
+        ("power-law", Family::PowerLaw.generate(80, 6, 5)),
+        ("dense", generators::random_regular(60, 12, 3).unwrap()),
+    ];
+    let mut compared = (0usize, 0usize, 0u32);
+    for (name, g) in graphs {
+        let window = g.m();
+        for (label, scenario) in [
+            (
+                "churn",
+                UpdateScenario::Churn {
+                    inserts: 6,
+                    deletes: 6,
+                },
+            ),
+            ("window", UpdateScenario::SlidingWindow { window, rate: 7 }),
+            (
+                "hub",
+                UpdateScenario::HubAttack {
+                    hub: 1,
+                    burst: 2,
+                    deletes: 1,
+                },
+            ),
+        ] {
+            let ids = IdAssignment::scattered(g.n(), 9);
+            let mut dg = DynamicGraph::from_graph(g.clone());
+            let budget = default_palette(g.max_degree() + 2);
+            let (rec, _) = Recoloring::with_budget(&dg, &ids, &params, budget).unwrap();
+            let mut session = SelfStabilizing::new(rec);
+            let mut stream = UpdateStream::new(g.clone(), scenario, 41);
+            for round in 0..8u64 {
+                let before: Vec<(EdgeId, Option<usize>)> = dg
+                    .stable_edges()
+                    .zip(dg.graph().edges())
+                    .map(|(stable, e)| (stable, session.coloring().color(e)))
+                    .collect();
+                let diff = dg.apply(&stream.next_batch()).unwrap();
+                let report = session.repair(&dg, &diff, &ids, &params).unwrap();
+                if !report.full_recolor {
+                    let carried = carried_by_stable_id(&before, &dg);
+                    let palette = session.palette();
+                    let (expected, metrics, _) = host_sized_repair(
+                        dg.graph(),
+                        &carried,
+                        &diff.inserted_internal,
+                        palette,
+                        &ids,
+                        &params,
+                    );
+                    let at = format!("{name}/{label} batch {round}");
+                    assert_eq!(session.coloring(), &expected, "{at}: coloring");
+                    assert_eq!(report.touched, diff.inserted_internal, "{at}: touched");
+                    assert_eq!(report.metrics, metrics, "{at}: metrics");
+                    compared.0 += 1;
+                }
+                // A fault-corrupted neighborhood: stabilize's conflict set
+                // goes through the same compacted repair.
+                let at = format!("{name}/{label} stabilize {round}");
+                if stabilize_matches_reference(&mut session, &dg, round + 7, 4, &ids, &at).is_some()
+                {
+                    compared.1 += 1;
+                }
+            }
+            // Corrupting half the graph makes the conflict set dense enough
+            // to run the outer defective-coloring iterations as well.
+            let at = format!("{name}/{label} heavy stabilize");
+            let heavy = dg.m() / 2;
+            let outer = stabilize_matches_reference(&mut session, &dg, 99, heavy, &ids, &at);
+            compared.2 += outer.expect("half the graph corrupted is never clean");
+        }
+    }
+    assert!(compared.0 >= 60, "too few repairs compared: {compared:?}");
+    assert!(
+        compared.2 > 0,
+        "no conflict set ran an outer iteration: {compared:?}"
+    );
+    assert!(
+        compared.1 >= 60,
+        "too few stabilizations compared: {compared:?}"
+    );
 }

@@ -10,9 +10,12 @@
 //! 2. **Out-of-order completion**: on one pipelined connection, a slow
 //!    flush on graph 0 and a fast lookup on graph 1 complete out of
 //!    submission order, proven by request-id tagging. (Each round's flush
-//!    repairs a freshly admitted batch pile — milliseconds of work against
-//!    a microsecond lookup — so even on one CPU at least one of the rounds
-//!    must invert; we assert exactly that, not a race-y all-of-them.)
+//!    applies a freshly admitted batch pile that drives one hub's degree
+//!    past the palette budget, forcing a full recolor of graph 0 —
+//!    milliseconds of work against a microsecond lookup — so even on one
+//!    CPU at least one of the rounds must invert; we assert exactly that,
+//!    not a race-y all-of-them. A local repair of the pile would not do:
+//!    it costs O(batch·Δ), about as little as the lookup.)
 //! 3. **v1 fallback**: a handshake-less connection keeps full v1 semantics
 //!    against graph 0 of the same daemon that is serving v2 tenants.
 
@@ -165,25 +168,22 @@ fn tenants_isolate_and_replay_bit_identically() {
 fn pipelined_responses_complete_out_of_order_across_graphs() {
     const ROUNDS: usize = 5;
     const INSERTS_PER_ROUND: usize = 20;
-    // Manual ticks only: admissions pile up until the flush repairs them
-    // all at once, making the graph-0 flush reliably slower than a
-    // graph-1 lookup.
+    // Manual ticks only: admissions pile up until the flush applies them
+    // all at once. Every pile attaches INSERTS_PER_ROUND new edges to the
+    // hub, more than the palette headroom absorbs, so every graph-0 flush
+    // runs a full recolor and is reliably slower than a graph-1 lookup.
     let daemon = spawn_two_tenants([(12, 12), (6, 6)], None);
     let mut admitter = Client::connect(daemon.addr()).expect("connect");
     let mut conn = PipelinedClient::connect(daemon.addr()).expect("connect pipelined");
 
-    let (rows, cols, n) = (12usize, 12usize, 144usize);
-    let mut anchor = 0usize;
+    let (hub, cols, n) = (0usize, 12usize, 144usize);
+    let torus_neighbors = [1, cols - 1, cols, n - cols];
+    let mut spokes = (hub + 1..n).filter(|v| !torus_neighbors.contains(v));
     let mut inversions = 0usize;
     for _ in 0..ROUNDS {
         for _ in 0..INSERTS_PER_ROUND {
-            assert!(anchor < n, "anchor budget exhausted");
-            submit_admitted(
-                &mut admitter,
-                &[],
-                &[(anchor as u32, diag(anchor, rows, cols) as u32)],
-            );
-            anchor += 1;
+            let spoke = spokes.next().expect("spoke budget exhausted");
+            submit_admitted(&mut admitter, &[], &[(hub as u32, spoke as u32)]);
         }
         let slow = conn.send(0, &Request::Flush).expect("send flush");
         let fast = conn
@@ -213,6 +213,11 @@ fn pipelined_responses_complete_out_of_order_across_graphs() {
         inversions >= 1,
         "no out-of-order completion in {ROUNDS} rounds: pipelining is not \
          actually decoupling the graphs"
+    );
+    let slow_side = daemon.core().tenants()[0].metrics(0);
+    assert_eq!(
+        slow_side.full_recolors, ROUNDS as u64,
+        "every graph-0 flush must have run the slow full recolor"
     );
     daemon.shutdown();
 }

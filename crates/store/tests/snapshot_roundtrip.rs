@@ -223,3 +223,37 @@ fn view_serves_neighbors_in_graph_order() {
         .collect();
     assert_eq!(order, vec![0, 1, 3, 4]);
 }
+
+/// A dynamic graph whose adjacency carries slack (a delete's hole, and the
+/// per-node slack of a re-layout forced by inserts into full slots) encodes
+/// to exactly the bytes of its tight reload: the format sees only the
+/// logical graph.
+#[test]
+fn adjacency_slack_never_reaches_the_bytes() {
+    let mut dynamic = DynamicGraph::from_graph(distgraph::generators::grid_torus(5, 6));
+    let spokes: Vec<(usize, usize)> = [2, 3, 4, 7, 8, 9].iter().map(|&v| (0, v)).collect();
+    dynamic
+        .apply(&UpdateBatch {
+            delete: vec![EdgeId::new(9)],
+            insert: spokes,
+        })
+        .expect("valid batch");
+    let g = dynamic.graph();
+    assert_ne!(
+        g.csr_offsets(),
+        g.degree_offsets().as_slice(),
+        "slack present"
+    );
+
+    let bytes = SnapshotSource::dynamic(&dynamic).encode().expect("encodes");
+    let snapshot = Snapshot::from_bytes(bytes.clone()).expect("opens");
+    let resumed = LoadedSnapshot::load(&snapshot)
+        .expect("materializes")
+        .into_dynamic()
+        .expect("stable table is consistent");
+    let tight = resumed.graph();
+    assert_eq!(tight.csr_offsets(), tight.degree_offsets().as_slice());
+    assert_eq!(tight, g);
+    let reencoded = SnapshotSource::dynamic(&resumed).encode().expect("encodes");
+    assert_eq!(reencoded, bytes);
+}
